@@ -2,6 +2,7 @@
 //! numeric summaries (medians, leader-serial fractions) they report.
 
 use galois_core::RoundLog;
+use galois_runtime::json::{JsonError, Reader};
 use galois_runtime::simtime::RoundTrace;
 use std::collections::BTreeMap;
 
@@ -146,12 +147,12 @@ pub fn rounds_metric_name(app: &str, threads: usize, metric: &str) -> String {
 /// Loads a criterion-shim JSONL bench file (`BENCH_*.json`) into a
 /// `name → median` map.
 ///
-/// Each line has the shape
-/// `{"name":"...","median_ns":X,"mean_ns":Y,"samples":N}`; for count-based
-/// rounds metrics the `_ns` fields carry plain counts (see the
-/// `BENCH_rounds.json` legend in the README). Returns an error naming the
-/// path when the file is missing or a line does not parse, so callers can
-/// report instead of skip.
+/// Each line is exactly
+/// `{"name":"...","median_ns":X,"mean_ns":Y,"samples":N}`, keys in that
+/// order; for count-based rounds metrics the `_ns` fields carry plain
+/// counts (see the `BENCH_rounds.json` legend in the README). Returns an
+/// error naming the path when the file is missing or a line does not
+/// parse, so callers can report instead of skip.
 pub fn load_bench_jsonl(path: &std::path::Path) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -160,28 +161,22 @@ pub fn load_bench_jsonl(path: &std::path::Path) -> Result<BTreeMap<String, f64>,
         if line.trim().is_empty() {
             continue;
         }
-        let field = |key: &str| -> Option<&str> {
-            let tag = format!("\"{key}\":");
-            let rest = &line[line.find(&tag)? + tag.len()..];
-            let end = rest.find([',', '}'])?;
-            Some(rest[..end].trim())
+        let record = |r: &mut Reader| -> Result<(String, f64), JsonError> {
+            let name = r.expect("{")?.key("name")?.string()?;
+            let median = r.expect(",")?.key("median_ns")?.decimal()?;
+            r.expect(",")?.key("mean_ns")?.decimal()?;
+            r.expect(",")?.key("samples")?.uint()?;
+            r.expect("}")?.end()?;
+            Ok((name, median))
         };
-        let name = field("name")
-            .and_then(|v| v.strip_prefix('"'))
-            .and_then(|v| v.strip_suffix('"'));
-        let median = field("median_ns").and_then(|v| v.parse::<f64>().ok());
-        match (name, median) {
-            (Some(n), Some(m)) => {
-                map.insert(n.to_string(), m);
-            }
-            _ => {
-                return Err(format!(
-                    "{}:{}: not a bench record: {line}",
-                    path.display(),
-                    lineno + 1
-                ))
-            }
-        }
+        let (name, median) = record(&mut Reader::new(line)).map_err(|e| {
+            format!(
+                "{}:{}: not a bench record ({e}): {line}",
+                path.display(),
+                lineno + 1
+            )
+        })?;
+        map.insert(name, median);
     }
     Ok(map)
 }

@@ -22,9 +22,9 @@
 //!   executor configuration. In *replay* mode it carries the expected
 //!   hashes instead and flags the first divergent round as it streams past.
 //! - [`RunManifest`] — the on-disk artifact: versioned, checksummed,
-//!   hand-rolled JSON (this tree builds with no registry access, so there
-//!   is no serde; the format is a strict fixed-order flat object that the
-//!   parser rejects on any corruption).
+//!   hand-rolled JSON. The format is a strict fixed-order object sealed in
+//!   the [`galois_runtime::json`] checksum envelope and read back with its
+//!   byte-exact cursor, so any corruption is rejected.
 //!
 //! [`LoopSpec::record`]: crate::LoopSpec::record
 //! [`Executor`]: crate::Executor
@@ -33,7 +33,8 @@
 use crate::executor::{Executor, Schedule, WorklistPolicy};
 use crate::window::WindowPolicy;
 use crate::DetOptions;
-use galois_runtime::fingerprint::{run_fingerprint, Fnv64, RoundChain};
+use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
+use galois_runtime::json::{self, JsonError, Reader};
 use galois_runtime::probe::{Probe, RoundRecord};
 use galois_runtime::stats::ExecStats;
 use std::fmt;
@@ -222,6 +223,15 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
+impl From<JsonError> for ManifestError {
+    fn from(e: JsonError) -> Self {
+        match e {
+            JsonError::Syntax(msg) => ManifestError::Parse(msg),
+            JsonError::Checksum { stored, actual } => ManifestError::Checksum { stored, actual },
+        }
+    }
+}
+
 /// A recorded deterministic run: identity, configuration, and the expected
 /// canonical hashes. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
@@ -258,15 +268,15 @@ impl RunManifest {
             .iter()
             .map(|h| format!("\"{h:016x}\""))
             .collect();
-        let body = format!(
+        json::seal(&format!(
             "{{\"version\":{},\"app\":\"{}\",\"input_key\":\"{}\",\"input_seed\":{},\
              \"size\":{},\"threads\":{},\"schedule\":\"{}\",\"continuation\":{},\
              \"locality_spread\":{},\"worklist\":\"{}\",\"chaos_seed\":{},\
              \"chaos_panics\":{},\"max_stalled_rounds\":{},\"round_hashes\":[{}],\
              \"final_fingerprint\":\"{:016x}\"}}",
             self.version,
-            self.app,
-            self.input_key,
+            json::escape(&self.app),
+            json::escape(&self.input_key),
             self.input_seed,
             self.size,
             self.exec.threads,
@@ -282,82 +292,39 @@ impl RunManifest {
             self.exec.max_stalled_rounds,
             hashes.join(","),
             self.final_fingerprint,
-        );
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        format!(
-            "{},\"checksum\":\"{:016x}\"}}\n",
-            &body[..body.len() - 1],
-            h.finish()
-        )
+        ))
     }
 
     /// Parses the format written by [`RunManifest::to_json`], rejecting
     /// version mismatches and any corruption (checksum failure, truncation,
     /// unknown or reordered fields).
     pub fn from_json(text: &str) -> Result<RunManifest, ManifestError> {
-        let text = text.trim_end();
-        // Split off and verify the trailing checksum before believing any
-        // field: the body is everything before `,"checksum":...` plus the
-        // closing brace it displaced.
-        let marker = ",\"checksum\":\"";
-        let at = text
-            .rfind(marker)
-            .ok_or_else(|| ManifestError::Parse("missing checksum field".into()))?;
-        let tail = &text[at + marker.len()..];
-        let stored = tail
-            .strip_suffix("\"}")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| ManifestError::Parse("malformed checksum field".into()))?;
-        let body = format!("{}}}", &text[..at]);
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        let actual = h.finish();
-        if actual != stored {
-            return Err(ManifestError::Checksum { stored, actual });
-        }
-
-        let mut p = Parser::new(&body);
-        p.expect("{")?;
-        let version = p.key_u64("version")?;
+        let body = json::unseal(text)?;
+        let mut r = Reader::new(&body);
+        let version = r.expect("{")?.key("version")?.uint()?;
         if version != MANIFEST_VERSION {
             return Err(ManifestError::Version(version));
         }
-        p.expect(",")?;
-        let app = p.key_string("app")?;
-        p.expect(",")?;
-        let input_key = p.key_string("input_key")?;
-        p.expect(",")?;
-        let input_seed = p.key_u64("input_seed")?;
-        p.expect(",")?;
-        let size = p.key_u64("size")?;
-        p.expect(",")?;
-        let threads = p.key_u64("threads")? as usize;
-        p.expect(",")?;
-        let schedule = ScheduleKind::from_name(&p.key_string("schedule")?)
+        let app = r.expect(",")?.key("app")?.string()?;
+        let input_key = r.expect(",")?.key("input_key")?.string()?;
+        let input_seed = r.expect(",")?.key("input_seed")?.uint()?;
+        let size = r.expect(",")?.key("size")?.uint()?;
+        let threads = r.expect(",")?.key("threads")?.uint()? as usize;
+        let schedule = ScheduleKind::from_name(&r.expect(",")?.key("schedule")?.string()?)
             .ok_or_else(|| ManifestError::Parse("unknown schedule kind".into()))?;
-        p.expect(",")?;
-        let continuation = p.key_bool("continuation")?;
-        p.expect(",")?;
-        let locality_spread = p.key_u64("locality_spread")? as usize;
-        p.expect(",")?;
-        let worklist = match p.key_string("worklist")?.as_str() {
+        let continuation = r.expect(",")?.key("continuation")?.bool()?;
+        let locality_spread = r.expect(",")?.key("locality_spread")?.uint()? as usize;
+        let worklist = match r.expect(",")?.key("worklist")?.string()?.as_str() {
             "lifo" => WorklistPolicy::Lifo,
             "fifo" => WorklistPolicy::Fifo,
             _ => return Err(ManifestError::Parse("unknown worklist policy".into())),
         };
-        p.expect(",")?;
-        let chaos_seed = p.key_u64_or_null("chaos_seed")?;
-        p.expect(",")?;
-        let chaos_panics = p.key_bool("chaos_panics")?;
-        p.expect(",")?;
-        let max_stalled_rounds = p.key_u64("max_stalled_rounds")?;
-        p.expect(",")?;
-        let round_hashes = p.key_hex_array("round_hashes")?;
-        p.expect(",")?;
-        let final_fingerprint = p.key_hex("final_fingerprint")?;
-        p.expect("}")?;
-        p.end()?;
+        let chaos_seed = r.expect(",")?.key("chaos_seed")?.nullable(Reader::uint)?;
+        let chaos_panics = r.expect(",")?.key("chaos_panics")?.bool()?;
+        let max_stalled_rounds = r.expect(",")?.key("max_stalled_rounds")?.uint()?;
+        let round_hashes = r.expect(",")?.key("round_hashes")?.list(Reader::hex)?;
+        let final_fingerprint = r.expect(",")?.key("final_fingerprint")?.hex()?;
+        r.expect("}")?.end()?;
 
         Ok(RunManifest {
             version,
@@ -415,164 +382,6 @@ impl RunManifest {
             });
         }
         Ok(())
-    }
-}
-
-/// Strict cursor parser for the flat fixed-order JSON object the manifest
-/// format uses. Any deviation — reordered keys, unknown fields, trailing
-/// garbage — is a [`ManifestError::Parse`].
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { text, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
-    }
-
-    fn expect(&mut self, token: &str) -> Result<(), ManifestError> {
-        if self.rest().starts_with(token) {
-            self.pos += token.len();
-            Ok(())
-        } else {
-            Err(ManifestError::Parse(format!(
-                "expected `{token}` at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), ManifestError> {
-        self.expect(&format!("\"{name}\":"))
-    }
-
-    /// Consumes characters while `f` holds, returning the span.
-    fn take_while(&mut self, f: impl Fn(char) -> bool) -> &'a str {
-        let rest = self.rest();
-        let len = rest.find(|c| !f(c)).unwrap_or(rest.len());
-        self.pos += len;
-        &rest[..len]
-    }
-
-    fn u64_value(&mut self) -> Result<u64, ManifestError> {
-        let span = self.take_while(|c| c.is_ascii_digit());
-        span.parse()
-            .map_err(|_| ManifestError::Parse(format!("expected integer at byte {}", self.pos)))
-    }
-
-    fn key_u64(&mut self, name: &str) -> Result<u64, ManifestError> {
-        self.key(name)?;
-        self.u64_value()
-    }
-
-    fn key_u64_or_null(&mut self, name: &str) -> Result<Option<u64>, ManifestError> {
-        self.key(name)?;
-        if self.rest().starts_with("null") {
-            self.pos += 4;
-            Ok(None)
-        } else {
-            self.u64_value().map(Some)
-        }
-    }
-
-    fn key_bool(&mut self, name: &str) -> Result<bool, ManifestError> {
-        self.key(name)?;
-        if self.rest().starts_with("true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.rest().starts_with("false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(ManifestError::Parse(format!(
-                "expected boolean at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn string_value(&mut self) -> Result<String, ManifestError> {
-        self.expect("\"")?;
-        // Manifest strings are app names and input keys: no escapes.
-        let s = self.take_while(|c| c != '"' && c != '\\');
-        let s = s.to_string();
-        self.expect("\"")?;
-        Ok(s)
-    }
-
-    fn key_string(&mut self, name: &str) -> Result<String, ManifestError> {
-        self.key(name)?;
-        self.string_value()
-    }
-
-    fn hex_value(&mut self) -> Result<u64, ManifestError> {
-        self.expect("\"")?;
-        let span = self.take_while(|c| c.is_ascii_hexdigit());
-        let v = u64::from_str_radix(span, 16)
-            .map_err(|_| ManifestError::Parse(format!("expected hex hash at byte {}", self.pos)))?;
-        self.expect("\"")?;
-        Ok(v)
-    }
-
-    fn key_hex(&mut self, name: &str) -> Result<u64, ManifestError> {
-        self.key(name)?;
-        self.hex_value()
-    }
-
-    fn key_hex_array(&mut self, name: &str) -> Result<Vec<u64>, ManifestError> {
-        self.key(name)?;
-        self.expect("[")?;
-        let mut out = Vec::new();
-        if self.rest().starts_with(']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.hex_value()?);
-            if self.rest().starts_with(',') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        self.expect("]")?;
-        Ok(out)
-    }
-
-    fn key_u64_array(&mut self, name: &str) -> Result<Vec<u64>, ManifestError> {
-        self.key(name)?;
-        self.expect("[")?;
-        let mut out = Vec::new();
-        if self.rest().starts_with(']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.u64_value()?);
-            if self.rest().starts_with(',') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        self.expect("]")?;
-        Ok(out)
-    }
-
-    fn end(&mut self) -> Result<(), ManifestError> {
-        if self.rest().is_empty() {
-            Ok(())
-        } else {
-            Err(ManifestError::Parse(format!(
-                "trailing bytes after manifest object at byte {}",
-                self.pos
-            )))
-        }
     }
 }
 
@@ -876,9 +685,9 @@ pub struct LockstepEvent {
     pub expected: u64,
     /// The offending replica's prefix hash (0 when not applicable).
     pub actual: u64,
-    /// Human-readable detail. Serialized without escapes, so
-    /// [`LockstepReport::to_json`] sanitizes quotes, backslashes and
-    /// control bytes to spaces.
+    /// Human-readable detail. The v1 report format writes it with no
+    /// escapes, so [`LockstepReport::to_json`] sanitizes quotes,
+    /// backslashes and control bytes to spaces.
     pub detail: String,
 }
 
@@ -951,14 +760,14 @@ impl LockstepReport {
                 )
             })
             .collect();
-        let body = format!(
+        json::seal(&format!(
             "{{\"version\":{},\"app\":\"{}\",\"input_key\":\"{}\",\"replicas\":{},\
              \"window\":{},\"rounds\":{},\"outcome\":\"{}\",\"survivors\":[{}],\
              \"max_buffered\":{},\"output_hash\":\"{:016x}\",\
              \"final_fingerprint\":\"{:016x}\",\"events\":[{}]}}",
             self.version,
-            self.app,
-            self.input_key,
+            json::escape(&self.app),
+            json::escape(&self.input_key),
             self.replicas,
             self.window,
             self.rounds,
@@ -968,104 +777,48 @@ impl LockstepReport {
             self.output_hash,
             self.final_fingerprint,
             events.join(","),
-        );
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        format!(
-            "{},\"checksum\":\"{:016x}\"}}\n",
-            &body[..body.len() - 1],
-            h.finish()
-        )
+        ))
     }
 
     /// Parses the format written by [`LockstepReport::to_json`], rejecting
     /// version mismatches and any corruption.
     pub fn from_json(text: &str) -> Result<LockstepReport, ManifestError> {
-        let text = text.trim_end();
-        let marker = ",\"checksum\":\"";
-        let at = text
-            .rfind(marker)
-            .ok_or_else(|| ManifestError::Parse("missing checksum field".into()))?;
-        let tail = &text[at + marker.len()..];
-        let stored = tail
-            .strip_suffix("\"}")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| ManifestError::Parse("malformed checksum field".into()))?;
-        let body = format!("{}}}", &text[..at]);
-        let mut h = Fnv64::new();
-        h.write_bytes(body.as_bytes());
-        let actual = h.finish();
-        if actual != stored {
-            return Err(ManifestError::Checksum { stored, actual });
-        }
-
-        let mut p = Parser::new(&body);
-        p.expect("{")?;
-        let version = p.key_u64("version")?;
+        let body = json::unseal(text)?;
+        let mut r = Reader::new(&body);
+        let version = r.expect("{")?.key("version")?.uint()?;
         if version != LOCKSTEP_REPORT_VERSION {
             return Err(ManifestError::Version(version));
         }
-        p.expect(",")?;
-        let app = p.key_string("app")?;
-        p.expect(",")?;
-        let input_key = p.key_string("input_key")?;
-        p.expect(",")?;
-        let replicas = p.key_u64("replicas")?;
-        p.expect(",")?;
-        let window = p.key_u64("window")?;
-        p.expect(",")?;
-        let rounds = p.key_u64("rounds")?;
-        p.expect(",")?;
-        let outcome = LockstepOutcome::from_name(&p.key_string("outcome")?)
+        let app = r.expect(",")?.key("app")?.string()?;
+        let input_key = r.expect(",")?.key("input_key")?.string()?;
+        let replicas = r.expect(",")?.key("replicas")?.uint()?;
+        let window = r.expect(",")?.key("window")?.uint()?;
+        let rounds = r.expect(",")?.key("rounds")?.uint()?;
+        let outcome = LockstepOutcome::from_name(&r.expect(",")?.key("outcome")?.string()?)
             .ok_or_else(|| ManifestError::Parse("unknown lockstep outcome".into()))?;
-        p.expect(",")?;
-        let survivors = p.key_u64_array("survivors")?;
-        p.expect(",")?;
-        let max_buffered = p.key_u64("max_buffered")?;
-        p.expect(",")?;
-        let output_hash = p.key_hex("output_hash")?;
-        p.expect(",")?;
-        let final_fingerprint = p.key_hex("final_fingerprint")?;
-        p.expect(",")?;
-        p.key("events")?;
-        p.expect("[")?;
-        let mut events = Vec::new();
-        if p.rest().starts_with(']') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.expect("{")?;
-                let round = p.key_u64("round")?;
-                p.expect(",")?;
-                let replica = p.key_u64_or_null("replica")?;
-                p.expect(",")?;
-                let kind = LockstepEventKind::from_name(&p.key_string("kind")?)
-                    .ok_or_else(|| ManifestError::Parse("unknown event kind".into()))?;
-                p.expect(",")?;
-                let expected = p.key_hex("expected")?;
-                p.expect(",")?;
-                let actual = p.key_hex("actual")?;
-                p.expect(",")?;
-                let detail = p.key_string("detail")?;
-                p.expect("}")?;
-                events.push(LockstepEvent {
-                    round,
-                    replica,
-                    kind,
-                    expected,
-                    actual,
-                    detail,
-                });
-                if p.rest().starts_with(',') {
-                    p.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            p.expect("]")?;
-        }
-        p.expect("}")?;
-        p.end()?;
+        let survivors = r.expect(",")?.key("survivors")?.list(Reader::uint)?;
+        let max_buffered = r.expect(",")?.key("max_buffered")?.uint()?;
+        let output_hash = r.expect(",")?.key("output_hash")?.hex()?;
+        let final_fingerprint = r.expect(",")?.key("final_fingerprint")?.hex()?;
+        let events = r.expect(",")?.key("events")?.list(|r| {
+            let round = r.expect("{")?.key("round")?.uint()?;
+            let replica = r.expect(",")?.key("replica")?.nullable(Reader::uint)?;
+            let kind = LockstepEventKind::from_name(&r.expect(",")?.key("kind")?.string()?)
+                .ok_or_else(|| ManifestError::Parse("unknown event kind".into()))?;
+            let expected = r.expect(",")?.key("expected")?.hex()?;
+            let actual = r.expect(",")?.key("actual")?.hex()?;
+            let detail = r.expect(",")?.key("detail")?.string()?;
+            r.expect("}")?;
+            Ok::<_, ManifestError>(LockstepEvent {
+                round,
+                replica,
+                kind,
+                expected,
+                actual,
+                detail,
+            })
+        })?;
+        r.expect("}")?.end()?;
 
         Ok(LockstepReport {
             version,

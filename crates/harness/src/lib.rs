@@ -575,7 +575,7 @@ impl fmt::Display for LockstepDivergence {
 
 /// What a lockstep replication run observed.
 #[derive(Debug)]
-pub struct LockstepReport {
+pub struct LocalLockstepReport {
     /// Replica count.
     pub replicas: usize,
     /// Rounds the longest replica executed.
@@ -587,7 +587,7 @@ pub struct LockstepReport {
     pub manifest_divergences: Vec<Option<ReplayDivergence>>,
 }
 
-impl LockstepReport {
+impl LocalLockstepReport {
     /// Whether every replica agreed with every other *and* with the
     /// recorded manifest.
     pub fn all_agree(&self) -> bool {
@@ -643,7 +643,7 @@ pub fn run_lockstep(
     manifest: &RunManifest,
     replicas: &[LockstepReplica],
     mutation: Mutation,
-) -> Result<LockstepReport, ReplayError> {
+) -> Result<LocalLockstepReport, ReplayError> {
     assert!(replicas.len() >= 2, "lockstep needs at least two replicas");
     let (app, input) = manifest_app_input(manifest)?;
     // The mutation seam is applied here, on the caller's thread, so the
@@ -726,7 +726,7 @@ pub fn run_lockstep(
         .iter()
         .map(|c| manifest.verify_chain(c).err())
         .collect();
-    Ok(LockstepReport {
+    Ok(LocalLockstepReport {
         replicas: replicas.len(),
         rounds: rounds as u64,
         divergence,

@@ -142,22 +142,18 @@ fn merge_in_place<T, K: Ord>(slice: &mut [T], mid: usize, key: &impl Fn(&T) -> K
     if key(&slice[mid - 1]) <= key(&slice[mid]) {
         return;
     }
-    // Out-of-place merge through a scratch Vec. `T: Send` but not
-    // necessarily `Clone`, so move elements with a swap-free take/write
-    // sequence using raw copies guarded against drops.
+    // Out-of-place merge through a scratch buffer. `T: Send` but not
+    // necessarily `Clone`, so elements move by bitwise copies.
     let len = slice.len();
     let mut scratch: Vec<T> = Vec::with_capacity(len);
     unsafe {
-        // SAFETY: we move every element of `slice` into `scratch` exactly
-        // once (ptr::read), then move merged elements back exactly once.
-        // `scratch` is wrapped in ManuallyDrop before any `key` call, so a
-        // panicking key function leaks elements instead of double-dropping.
-        let src = slice.as_ptr();
-        for i in 0..len {
-            scratch.push(std::ptr::read(src.add(i)));
-        }
-        let scratch = std::mem::ManuallyDrop::new(scratch);
-        let (left, right) = scratch.split_at(mid);
+        // SAFETY: every element of `slice` is copied into `scratch`'s
+        // buffer exactly once, then merged elements are moved back exactly
+        // once. `scratch` keeps length 0 throughout, so dropping it — at the
+        // end, or while a panicking `key` unwinds — frees the buffer without
+        // dropping any element: the copies never own anything.
+        std::ptr::copy_nonoverlapping(slice.as_ptr(), scratch.as_mut_ptr(), len);
+        let (left, right) = std::slice::from_raw_parts(scratch.as_ptr(), len).split_at(mid);
         let dst = slice.as_mut_ptr();
         let (mut i, mut j, mut k) = (0, 0, 0);
         while i < left.len() && j < right.len() {
@@ -181,7 +177,6 @@ fn merge_in_place<T, K: Ord>(slice: &mut [T], mid: usize, key: &impl Fn(&T) -> K
             j += 1;
             k += 1;
         }
-        // All elements moved back into `slice`; ManuallyDrop drops nothing.
     }
 }
 

@@ -132,6 +132,9 @@ fn main() {
             }
         }
     }
+    // Close the warm-up connection before timing: a keep-alive connection
+    // pins a server worker, which would leave one timed client queued.
+    drop(warm);
 
     // Timed pass: each client walks the same deterministic rotation,
     // offset by its index, over keep-alive connections.

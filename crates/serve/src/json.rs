@@ -1,10 +1,13 @@
-//! Minimal JSON support for the serve front end.
+//! Request parsing for the serve front end.
 //!
-//! The tree is registry-free, so there is no serde; requests are *flat*
-//! JSON objects (string / unsigned-integer / boolean values only), parsed
-//! by a strict, allocation-light recursive-descent scanner. Responses are
-//! built by hand with fixed field order — canonical output needs exact
-//! byte control anyway, so a serializer would buy nothing.
+//! Requests are *flat* JSON objects (string / unsigned-integer / boolean /
+//! null values only), read with the tree's one JSON cursor,
+//! [`galois_runtime::json::Reader`]. Responses are built by hand with fixed
+//! field order and [`escape`]d strings — canonical output needs exact byte
+//! control anyway, so a serializer would buy nothing.
+
+pub use galois_runtime::json::escape;
+use galois_runtime::json::{JsonError, Reader};
 
 /// A value a request object may carry.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,203 +41,54 @@ impl JsonValue {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(found) if found == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(found) => Err(format!(
-                "expected `{}` at byte {}, found `{}`",
-                b as char, self.pos, found as char
-            )),
-            None => Err(format!("expected `{}`, found end of input", b as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                b if b < 0x20 => return Err("raw control byte in string".into()),
-                b => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            0xf0..=0xf7 => 4,
-                            _ => return Err("invalid UTF-8 in string".into()),
-                        };
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        let s = std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'0'..=b'9') => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                if self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|b| matches!(b, b'.' | b'e' | b'E'))
-                {
-                    return Err("fractional numbers are not accepted here".into());
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .unwrap()
-                    .parse()
-                    .map(JsonValue::UInt)
-                    .map_err(|_| "integer out of range".into())
-            }
-            Some(b'{') | Some(b'[') => {
-                Err("nested objects/arrays are not accepted in requests".into())
-            }
-            Some(b'-') => Err("negative numbers are not accepted here".into()),
-            Some(b) => Err(format!("unexpected byte `{}`", b as char)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-}
-
 /// Parses a flat JSON object — `{"key": <string|uint|bool|null>, ...}` —
-/// into key/value pairs in document order. Nested containers, floats,
-/// duplicate keys, and trailing garbage are all rejected: a request either
-/// parses exactly or names the reason it did not.
+/// into key/value pairs in document order. Whitespace between tokens is
+/// allowed; nested containers, fractions, negatives, duplicate keys, and
+/// trailing garbage are all rejected: a request either parses exactly or
+/// names the reason it did not.
 pub fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut sc = Scanner {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    sc.expect(b'{')?;
-    let mut pairs = Vec::new();
-    if sc.peek() == Some(b'}') {
-        sc.pos += 1;
-    } else {
+    flat_object(&mut Reader::new(text)).map_err(|e| e.to_string())
+}
+
+fn flat_object(r: &mut Reader) -> Result<Vec<(String, JsonValue)>, JsonError> {
+    r.ws().expect("{")?;
+    let mut pairs: Vec<(String, JsonValue)> = Vec::new();
+    if !r.ws().eat("}") {
         loop {
-            let key = sc.string()?;
-            sc.expect(b':')?;
-            let value = sc.value()?;
+            let key = r.ws().string()?;
+            r.ws().expect(":")?;
+            let value = value(r.ws())?;
             if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
+                return r.error(&format!("duplicate key {key:?}"));
             }
             pairs.push((key, value));
-            match sc.peek() {
-                Some(b',') => sc.pos += 1,
-                Some(b'}') => {
-                    sc.pos += 1;
-                    break;
-                }
-                _ => return Err("expected `,` or `}` after value".into()),
+            if r.ws().eat("}") {
+                break;
             }
+            r.expect(",")?;
         }
     }
-    if sc.peek().is_some() {
-        return Err("trailing bytes after object".into());
-    }
+    r.ws().end()?;
     Ok(pairs)
+}
+
+fn value(r: &mut Reader) -> Result<JsonValue, JsonError> {
+    match r.peek() {
+        Some(b'"') => r.string().map(JsonValue::Str),
+        Some(b't' | b'f') => r.bool().map(JsonValue::Bool),
+        Some(b'n') => r.expect("null").map(|_| JsonValue::Null),
+        Some(b'0'..=b'9') => {
+            let n = r.uint()?;
+            if matches!(r.peek(), Some(b'.' | b'e' | b'E')) {
+                return r.error("fractional numbers are not accepted here");
+            }
+            Ok(JsonValue::UInt(n))
+        }
+        Some(b'{' | b'[') => r.error("nested objects/arrays are not accepted in requests"),
+        Some(b'-') => r.error("negative numbers are not accepted here"),
+        Some(_) => r.error("unexpected byte"),
+        None => r.error("unexpected end of input"),
+    }
 }
 
 #[cfg(test)]

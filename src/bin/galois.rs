@@ -107,6 +107,14 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Parses a thread count: a positive integer, else usage and exit 2.
+fn thread_count(v: &str) -> usize {
+    match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage(),
+    }
+}
+
 /// Exit code for a verified replay that hashed differently from its
 /// manifest (or a lockstep replica pair that disagreed).
 const EXIT_DIVERGENCE: i32 = 13;
@@ -135,7 +143,7 @@ fn cmd_record(argv: &[String]) -> ! {
             None => usage(),
         };
         match flag.as_str() {
-            "--threads" => val(&mut |v| threads = v.parse().unwrap_or_else(|_| usage())),
+            "--threads" => val(&mut |v| threads = thread_count(&v)),
             "--size" => val(&mut |v| input.size = Some(v.parse().unwrap_or_else(|_| usage()))),
             "--seed" => val(&mut |v| input.seed = v.parse().unwrap_or_else(|_| usage())),
             "--chaos-seed" => {
@@ -200,14 +208,10 @@ fn cmd_replay(argv: &[String]) -> ! {
             None => usage(),
         };
         match flag.as_str() {
-            "--threads" => val(&mut |v| threads = v.parse().unwrap_or_else(|_| usage())),
+            "--threads" => val(&mut |v| threads = thread_count(&v)),
             "--cache-dir" => val(&mut |v| cache_dir = Some(v.into())),
             "--lockstep" => val(&mut |v| {
-                lockstep = Some(
-                    v.split(',')
-                        .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
+                lockstep = Some(v.split(',').map(|t| thread_count(t.trim())).collect());
             }),
             "--lockstep-chaos" => val(&mut |v| {
                 lockstep_chaos = v
@@ -351,7 +355,7 @@ fn cmd_replicate(argv: &[String]) -> ! {
         };
         match flag.as_str() {
             "--join" => val(&mut |v| join = Some(v)),
-            "--threads" => val(&mut |v| opts.threads = Some(v.parse().unwrap_or_else(|_| usage()))),
+            "--threads" => val(&mut |v| opts.threads = Some(thread_count(&v))),
             "--perturb-spread" => val(&mut |v| {
                 opts.perturb_spread = Some(v.parse().unwrap_or_else(|_| usage()));
             }),
@@ -411,10 +415,7 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             "--replicas" => val(&mut |v| config.replicas = v.parse().unwrap_or_else(|_| usage())),
             "--window" => val(&mut |v| config.window = v.parse().unwrap_or_else(|_| usage())),
             "--threads" => val(&mut |v| {
-                config.threads = v
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
+                config.threads = v.split(',').map(|t| thread_count(t.trim())).collect();
             }),
             "--timeout-ms" => val(&mut |v| {
                 config.timeout = Duration::from_millis(v.parse().unwrap_or_else(|_| usage()));
@@ -571,7 +572,7 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--variant" => val(&mut |v| args.variant = v),
-            "--threads" => val(&mut |v| args.threads = v.parse().unwrap_or_else(|_| usage())),
+            "--threads" => val(&mut |v| args.threads = thread_count(&v)),
             "--size" => val(&mut |v| args.size = v.parse().unwrap_or_else(|_| usage())),
             "--seed" => val(&mut |v| args.seed = v.parse().unwrap_or_else(|_| usage())),
             "--verify" => args.verify = true,
