@@ -52,7 +52,7 @@ pub fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonValue)>, String>
 
 fn flat_object(r: &mut Reader) -> Result<Vec<(String, JsonValue)>, JsonError> {
     r.ws().expect("{")?;
-    let mut pairs: Vec<(String, JsonValue)> = Vec::new();
+    let mut pairs = Vec::new();
     if !r.ws().eat("}") {
         loop {
             let key = r.ws().string()?;
