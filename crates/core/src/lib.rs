@@ -61,6 +61,7 @@
 //! | [`flags`] | §3.3 | order-insensitive abort-flag protocol |
 //! | [`executor`] | §1 | the on-demand scheduler switch |
 //! | [`manifest`] | — | record/replay: run manifests, replay verification |
+//! | [`lockstep`] | — | the lockstep verdict machine shared by both transports |
 //! | `det` (internal) | §3 | the DIG scheduler |
 //! | `spec` (internal) | §2.1 | the speculative scheduler |
 
@@ -71,6 +72,7 @@ mod det;
 pub mod error;
 pub mod executor;
 pub mod flags;
+pub mod lockstep;
 pub mod manifest;
 pub mod marks;
 pub mod ops;

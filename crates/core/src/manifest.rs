@@ -594,6 +594,15 @@ impl Probe for ManifestRecorder {
 /// Lockstep report format version this build writes and accepts.
 pub const LOCKSTEP_REPORT_VERSION: u64 = 1;
 
+/// Process exit code for a replay that diverged from its manifest, and for
+/// a lockstep run that completed from a quorum after evicting divergent
+/// replicas.
+pub const EXIT_DIVERGENCE: i32 = 13;
+
+/// Process exit code for a refused lockstep run: quorum lost, or a
+/// majority contradicted the recorded reference chain.
+pub const EXIT_NO_QUORUM: i32 = 14;
+
 /// How a distributed lockstep run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockstepOutcome {
@@ -618,6 +627,16 @@ impl LockstepOutcome {
         }
     }
 
+    /// The process exit code that reports this outcome: `0`,
+    /// [`EXIT_DIVERGENCE`] or [`EXIT_NO_QUORUM`].
+    pub fn exit_code(self) -> i32 {
+        match self {
+            LockstepOutcome::Agreed => 0,
+            LockstepOutcome::Diverged => EXIT_DIVERGENCE,
+            LockstepOutcome::NoQuorum => EXIT_NO_QUORUM,
+        }
+    }
+
     fn from_name(name: &str) -> Option<Self> {
         match name {
             "agreed" => Some(LockstepOutcome::Agreed),
@@ -631,7 +650,7 @@ impl LockstepOutcome {
 /// What a [`LockstepEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockstepEventKind {
-    /// A replica's prefix hash contradicted the settled majority chain.
+    /// A replica's prefix hash contradicted the recorded reference chain.
     Divergence,
     /// A minority replica was removed from the vote after diverging.
     Eviction,
