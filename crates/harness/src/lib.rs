@@ -20,8 +20,9 @@
 //! prints a one-line `cargo run` reproduction command, so a scheduler bug
 //! found on an 8-thread × 8-seed sweep arrives as a two-run repro.
 
+use galois_core::lockstep::Verdict;
 use galois_core::manifest::{
-    ManifestError, ManifestRecorder, ReplayDivergence, RunManifest, ScheduleKind,
+    LockstepReport, ManifestError, ManifestRecorder, ReplayDivergence, RunManifest, ScheduleKind,
 };
 use galois_core::{
     DetOptions, ExecError, Executor, RoundLog, RoundRecord, Schedule, WorklistPolicy,
@@ -31,7 +32,6 @@ use galois_runtime::fingerprint::{run_fingerprint, RoundChain};
 use galois_runtime::stats::ExecStats;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 pub mod resident;
 pub mod subprocess;
@@ -545,105 +545,40 @@ pub struct LockstepReplica {
     pub chaos_seed: Option<u64>,
 }
 
-/// The first round where two lockstep replicas hashed differently.
-///
-/// A hash of `0` means that replica had no such round (the replicas
-/// disagreed on round *count* after agreeing on every common round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockstepDivergence {
-    /// First divergent round (chain sequence index).
-    pub round: u64,
-    /// Lower-index replica of the diverging pair.
-    pub replica_a: usize,
-    /// Higher-index replica of the diverging pair.
-    pub replica_b: usize,
-    /// Replica `a`'s prefix hash at that round.
-    pub hash_a: u64,
-    /// Replica `b`'s prefix hash at that round.
-    pub hash_b: u64,
-}
-
-impl fmt::Display for LockstepDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "replicas {} and {} diverged at round {}: {:016x} vs {:016x}",
-            self.replica_a, self.replica_b, self.round, self.hash_a, self.hash_b
-        )
-    }
-}
-
-/// What a lockstep replication run observed.
-#[derive(Debug)]
-pub struct LocalLockstepReport {
-    /// Replica count.
-    pub replicas: usize,
-    /// Rounds the longest replica executed.
-    pub rounds: u64,
-    /// First round where two replicas disagreed (`None` = full agreement).
-    pub divergence: Option<LockstepDivergence>,
-    /// Per-replica verdict against the *manifest's* chain (`None` = that
-    /// replica reproduced the recording exactly).
-    pub manifest_divergences: Vec<Option<ReplayDivergence>>,
-}
-
-impl LocalLockstepReport {
-    /// Whether every replica agreed with every other *and* with the
-    /// recorded manifest.
-    pub fn all_agree(&self) -> bool {
-        self.divergence.is_none() && self.manifest_divergences.iter().all(Option::is_none)
-    }
-}
-
-/// Shared round-hash board the replicas cross-check through: each replica's
-/// recorder hook publishes `(round, hash)` as its barrier completes, and
-/// the publisher compares against every stream that already reached that
-/// round — the Aviram & Ford fault-detection pattern, at barrier latency.
-struct LockstepMonitor {
-    streams: Vec<Vec<u64>>,
-    first_mismatch: Option<(u64, usize, usize)>,
-}
-
-impl LockstepMonitor {
-    fn new(replicas: usize) -> Self {
-        LockstepMonitor {
-            streams: vec![Vec::new(); replicas],
-            first_mismatch: None,
-        }
-    }
-
-    fn push(&mut self, replica: usize, seq: u64, hash: u64) {
-        debug_assert_eq!(self.streams[replica].len() as u64, seq);
-        self.streams[replica].push(hash);
-        for (other, stream) in self.streams.iter().enumerate() {
-            if other == replica {
-                continue;
-            }
-            if let Some(&h) = stream.get(seq as usize) {
-                if h != hash && self.first_mismatch.is_none_or(|(r, _, _)| seq < r) {
-                    self.first_mismatch = Some((seq, other.min(replica), other.max(replica)));
-                }
-            }
-        }
+/// Runs one lockstep replica's re-execution under `exec`, recording its
+/// chain into `rec`. A fault or a failed validation comes back as the
+/// `(exit code, message)` both lockstep transports report it with.
+pub fn replica_run(
+    app: App,
+    exec: &Executor,
+    input: &InputConfig,
+    rec: &mut ManifestRecorder,
+) -> Result<RunOutcome, (i32, String)> {
+    match run_cell(app, exec, input, Some(rec)) {
+        Ok((Ok(out), _cached)) => Ok(out),
+        Ok((Err(fault), _cached)) => Err((fault.exit_code(), fault.to_string())),
+        Err(validation) => Err((1, format!("validation failed: {validation}"))),
     }
 }
 
 /// Runs N in-process replicas of a recorded run — each with its own thread
-/// count and chaos seed over the *same* manifest — cross-checking round
-/// hashes at each barrier and reporting the first divergent round.
+/// count and chaos seed over the *same* manifest — and judges their round
+/// chains with the same [`Verdict`] machine as the TCP coordinator.
 ///
-/// Under a healthy deterministic scheduler every replica produces the
-/// identical chain regardless of `threads`/`chaos_seed`, so the report is
-/// all-agreement; a schedule bug (or a perturbation planted through the
-/// [`Mutation`] seam) surfaces as the exact round where the replicas'
-/// schedules parted. Replica configuration errors (validation failures,
-/// executor faults) are `Err`; divergence is a *successful observation*,
-/// reported in the `Ok` value.
+/// Under a healthy deterministic scheduler every replica reproduces the
+/// recording regardless of `threads`/`chaos_seed`, so the report is
+/// [`LockstepOutcome::Agreed`](galois_core::LockstepOutcome::Agreed); a
+/// schedule bug (or a perturbation planted through the [`Mutation`] seam)
+/// surfaces as a divergence event at the exact first round the replica's
+/// schedule parted from the recording. A replica that faults or fails
+/// validation is a `fault` event. No transport buffer is involved, so the
+/// report's `window` and `max_buffered` are 0. Only a manifest this
+/// harness cannot re-execute is an `Err`.
 pub fn run_lockstep(
     manifest: &RunManifest,
     replicas: &[LockstepReplica],
     mutation: Mutation,
-) -> Result<LocalLockstepReport, ReplayError> {
+) -> Result<LockstepReport, ReplayError> {
     assert!(replicas.len() >= 2, "lockstep needs at least two replicas");
     let (app, input) = manifest_app_input(manifest)?;
     // The mutation seam is applied here, on the caller's thread, so the
@@ -651,7 +586,7 @@ pub fn run_lockstep(
     let execs: Vec<Executor> = replicas
         .iter()
         .map(|r| {
-            let mut exec = manifest.exec.to_executor(r.threads);
+            let mut exec = manifest.exec.to_executor(r.threads).record_rounds(true);
             if let Some(seed) = r.chaos_seed {
                 exec = exec.chaos(seed);
             }
@@ -659,21 +594,15 @@ pub fn run_lockstep(
         })
         .collect();
 
-    let monitor = Arc::new(Mutex::new(LockstepMonitor::new(replicas.len())));
-    let results: Vec<Result<ManifestRecorder, ReplayError>> = std::thread::scope(|s| {
+    let runs: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = execs
-            .into_iter()
-            .enumerate()
-            .map(|(i, exec)| {
-                let board = Arc::clone(&monitor);
-                let input = input.clone();
-                let mut rec = ManifestRecorder::replaying(manifest)
-                    .on_round_hash(move |seq, hash| board.lock().unwrap().push(i, seq, hash));
+            .iter()
+            .map(|exec| {
+                let input = &input;
                 s.spawn(move || {
-                    let (result, _cached) = run_cell(app, &exec, &input, Some(&mut rec))
-                        .map_err(ReplayError::Validation)?;
-                    result.map_err(ReplayError::Exec)?;
-                    Ok(rec)
+                    let mut rec = ManifestRecorder::new();
+                    let end = replica_run(app, exec, input, &mut rec);
+                    (rec, end)
                 })
             })
             .collect();
@@ -683,55 +612,20 @@ pub fn run_lockstep(
             .collect()
     });
 
-    let mut recorders = Vec::with_capacity(results.len());
-    for r in results {
-        recorders.push(r?);
-    }
-    let chains: Vec<&[u64]> = recorders.iter().map(|r| r.round_hashes()).collect();
-    let rounds = chains.iter().map(|c| c.len()).max().unwrap_or(0);
-
-    // Authoritative post-hoc scan (deterministic order: smallest round,
-    // then smallest replica pair). The monitor's live cross-check must have
-    // found the same first round — it saw every hash the scan sees.
-    let mut divergence = None;
-    'scan: for seq in 0..rounds {
-        for a in 0..chains.len() {
-            for b in (a + 1)..chains.len() {
-                let ha = chains[a].get(seq).copied().unwrap_or(0);
-                let hb = chains[b].get(seq).copied().unwrap_or(0);
-                if ha != hb {
-                    divergence = Some(LockstepDivergence {
-                        round: seq as u64,
-                        replica_a: a,
-                        replica_b: b,
-                        hash_a: ha,
-                        hash_b: hb,
-                    });
-                    break 'scan;
-                }
-            }
+    let mut verdict = Verdict::new(manifest, replicas.len());
+    for (i, (rec, end)) in runs.into_iter().enumerate() {
+        for &hash in rec.round_hashes() {
+            verdict.round(i, hash);
+        }
+        match end {
+            Ok(out) => verdict.done(i, out.rounds, out.output_hash, out.fingerprint),
+            Err((exit_code, message)) => verdict.fault(i, exit_code, &message),
         }
     }
-    // The live cross-check sees every hash the scan sees, so a live
-    // mismatch implies a (no later) post-hoc one; the converse need not
-    // hold when replicas disagree only on round *count*.
-    if let Some((live_round, _, _)) = monitor.lock().unwrap().first_mismatch {
-        debug_assert!(
-            divergence.as_ref().is_some_and(|d| d.round <= live_round),
-            "live cross-check found a mismatch the post-hoc scan missed"
-        );
-    }
-
-    let manifest_divergences = chains
-        .iter()
-        .map(|c| manifest.verify_chain(c).err())
-        .collect();
-    Ok(LocalLockstepReport {
-        replicas: replicas.len(),
-        rounds: rounds as u64,
-        divergence,
-        manifest_divergences,
-    })
+    verdict
+        .advance()
+        .expect("every replica's stream is complete");
+    Ok(verdict.report(0, 0))
 }
 
 /// One differential sweep's shape.

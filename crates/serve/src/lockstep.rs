@@ -14,20 +14,18 @@
 //!    key + `ExecConfig`) and its thread budget. Budgets may differ per
 //!    replica — portability *is* the redundancy claim.
 //! 2. **Stream**: replicas re-execute and send one `ROUND` frame per
-//!    barrier. The coordinator settles rounds in order, comparing every
-//!    replica's hash against the recorded chain. A replica may run at most
-//!    [`LockstepConfig::window`] rounds ahead of the slowest voter before
-//!    its reader blocks — coordinator memory is bounded by
-//!    `window × replicas` hashes, never by run length.
-//! 3. **Vote**: on a mismatch at the frontier round, the recorded manifest
-//!    chain is the binding reference. A *strict minority* contradicting it
-//!    is evicted (first divergent round pinpointed in the event log) and
-//!    the run continues with the survivors. If half or more of the live
-//!    replicas contradict the reference, the coordinator refuses the run
-//!    ([`EXIT_NO_QUORUM`]) rather than voting a wrong majority.
+//!    barrier. A replica may run at most [`LockstepConfig::window`] rounds
+//!    ahead of the settled frontier before its reader blocks — coordinator
+//!    memory is bounded by `window × replicas` hashes, never by run length.
+//! 3. **Vote**: the coordinator feeds every frame into the core
+//!    [`Verdict`] machine, which judges the streams against the recorded
+//!    chain (the same machine behind the in-process
+//!    `galois_harness::run_lockstep`). A *strict minority* contradicting
+//!    the recording is evicted; half or more is a refusal
+//!    ([`EXIT_NO_QUORUM`]) rather than a wrong majority.
 //! 4. **Degrade**: replica death — socket drop, kill, silence past the
-//!    timeout — is a structured event; the run continues while at least a
-//!    quorum (majority of the original N) survives.
+//!    timeout, a `FAULT` frame — is a structured event; the run continues
+//!    while at least a quorum (majority of the original N) survives.
 //! 5. **Settle**: the final fingerprints of all survivors must agree with
 //!    the manifest; only then is the result (and the emitted manifest)
 //!    released.
@@ -36,25 +34,15 @@
 //! [`LockstepReport`].
 
 use crate::wire::{self, Frame, WireError, WIRE_VERSION};
-use galois_core::manifest::{
-    LockstepEvent, LockstepEventKind, LockstepOutcome, LockstepReport, ManifestRecorder,
-    LOCKSTEP_REPORT_VERSION,
-};
+use galois_core::lockstep::Verdict;
+use galois_core::manifest::{LockstepEventKind, LockstepReport, ManifestRecorder};
+pub use galois_core::manifest::{EXIT_DIVERGENCE, EXIT_NO_QUORUM};
 use galois_core::RunManifest;
-use galois_harness::{manifest_target, run_cell};
-use std::collections::VecDeque;
+use galois_harness::{manifest_target, replica_run};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Process exit code for a run that completed from a quorum after evicting
-/// divergent replicas (same code the replay CLI uses for divergence).
-pub const EXIT_DIVERGENCE: i32 = 13;
-
-/// Process exit code for a refused run: quorum lost, or a majority
-/// contradicted the recorded reference chain.
-pub const EXIT_NO_QUORUM: i32 = 14;
 
 /// Exit code a replica uses after being evicted by its coordinator.
 pub const EXIT_REPLICA_EVICTED: i32 = 3;
@@ -98,32 +86,12 @@ pub struct LockstepRunResult {
     pub exit_code: i32,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ReplicaState {
-    Running,
-    Finished {
-        rounds: u64,
-        output_hash: u64,
-        fingerprint: u64,
-    },
-    Dead,
-    Evicted,
-}
-
 struct Board {
-    /// Per-replica queue of received-but-unsettled prefix hashes; the
-    /// front is always the hash for round `settled`.
-    pending: Vec<VecDeque<u64>>,
+    verdict: Verdict,
     /// Total `ROUND` frames accepted per replica (seq contiguity check).
     arrived: Vec<u64>,
-    state: Vec<ReplicaState>,
-    /// Rounds settled against the reference chain.
-    settled: u64,
-    /// High-water mark of any pending queue.
+    /// High-water mark of any replica's unsettled hash queue.
     max_buffered: u64,
-    events: Vec<LockstepEvent>,
-    /// Set when the settler gives up; readers drain and exit.
-    halted: bool,
 }
 
 struct Shared {
@@ -171,8 +139,9 @@ impl Coordinator {
         if n == 0 {
             return Err("lockstep needs at least one replica".into());
         }
-        let quorum = n / 2 + 1;
-        let reference = self.manifest.round_hashes.clone();
+        if self.config.window == 0 {
+            return Err("lockstep needs a window of at least one round".into());
+        }
         let manifest_json = self.manifest.to_json();
 
         // ---- Join phase -------------------------------------------------
@@ -205,16 +174,12 @@ impl Coordinator {
         // ---- Stream phase: one reader thread per replica ----------------
         let shared = Arc::new(Shared {
             board: Mutex::new(Board {
-                pending: (0..n).map(|_| VecDeque::new()).collect(),
+                verdict: Verdict::new(&self.manifest, n),
                 arrived: vec![0; n],
-                state: vec![ReplicaState::Running; n],
-                settled: 0,
                 max_buffered: 0,
-                events: Vec::new(),
-                halted: false,
             }),
             turn: Condvar::new(),
-            window: self.config.window.max(1),
+            window: self.config.window,
         });
         let timeout = self.config.timeout;
         let mut readers = Vec::with_capacity(n);
@@ -228,15 +193,30 @@ impl Coordinator {
             }));
         }
 
-        // ---- Vote/settle phase ------------------------------------------
-        let (outcome, survivors, agreed) =
-            settle(&shared, &reference, &self.manifest, quorum, &streams);
+        // ---- Vote/settle phase: the verdict machine decides; this loop
+        // waits for input and carries out its evictions.
+        let mut board = shared.board.lock().unwrap();
+        loop {
+            let outcome = board.verdict.advance();
+            for (i, round) in board.verdict.take_evictions() {
+                send_eviction(&streams[i], round);
+            }
+            shared.turn.notify_all();
+            if outcome.is_some() {
+                break;
+            }
+            board = shared.turn.wait(board).unwrap();
+        }
+        let report = board
+            .verdict
+            .report(shared.window as u64, board.max_buffered);
+        drop(board);
 
         // Courtesy frames, then hang up: survivors get an ACK, everyone
         // else is already evicted/dead. Dropping the streams unblocks any
         // replica still mid-stream.
-        for &i in &survivors {
-            if let Ok(mut s) = streams[i].try_clone() {
+        for &i in &report.survivors {
+            if let Ok(mut s) = streams[i as usize].try_clone() {
                 let _ = wire::write_frame(&mut s, &Frame::Ack);
             }
         }
@@ -246,28 +226,7 @@ impl Coordinator {
         for reader in readers {
             let _ = reader.join();
         }
-
-        let board = shared.board.lock().unwrap();
-        let (output_hash, fingerprint) = agreed.unwrap_or((0, 0));
-        let report = LockstepReport {
-            version: LOCKSTEP_REPORT_VERSION,
-            app: self.manifest.app.clone(),
-            input_key: self.manifest.input_key.clone(),
-            replicas: n as u64,
-            window: shared.window as u64,
-            rounds: board.settled,
-            outcome,
-            survivors: survivors.iter().map(|&i| i as u64).collect(),
-            max_buffered: board.max_buffered,
-            output_hash,
-            final_fingerprint: fingerprint,
-            events: board.events.clone(),
-        };
-        let exit_code = match outcome {
-            LockstepOutcome::Agreed => 0,
-            LockstepOutcome::Diverged => EXIT_DIVERGENCE,
-            LockstepOutcome::NoQuorum => EXIT_NO_QUORUM,
-        };
+        let exit_code = report.outcome.exit_code();
         Ok(LockstepRunResult { report, exit_code })
     }
 
@@ -307,370 +266,80 @@ impl Coordinator {
 }
 
 /// One replica's reader: validates frame order, back-pressures at the
-/// window bound, and turns connection loss into structured board state.
+/// window bound, and feeds every frame — or the connection's loss — to
+/// the verdict machine.
 fn reader_loop(stream: &mut TcpStream, id: usize, shared: &Shared, timeout: Duration) {
     loop {
         let frame = wire::read_frame(stream, timeout);
         let mut board = shared.board.lock().unwrap();
-        if board.state[id] != ReplicaState::Running || board.halted {
+        if !board.verdict.accepts(id) {
             // Evicted, or the session settled, while we were blocked
             // reading — nothing left to account for.
             return;
         }
         match frame {
-            Ok(Frame::Round { seq, hash }) => {
-                if seq != board.arrived[id] {
-                    let expected_seq = board.arrived[id];
-                    mark_dead(
-                        &mut board,
-                        id,
-                        LockstepEventKind::Death,
-                        format!("replica {id} sent round {seq}, expected {expected_seq}"),
-                    );
-                    shared.turn.notify_all();
-                    return;
-                }
+            Ok(Frame::Round { seq, hash }) if seq == board.arrived[id] => {
                 // Window bound: never buffer more than `window` unsettled
                 // hashes for one replica.
-                while board.pending[id].len() >= shared.window
-                    && board.state[id] == ReplicaState::Running
-                    && !board.halted
-                {
+                while board.verdict.buffered(id) >= shared.window && board.verdict.accepts(id) {
                     board = shared.turn.wait(board).unwrap();
                 }
-                if board.state[id] != ReplicaState::Running || board.halted {
+                if !board.verdict.accepts(id) {
                     return;
                 }
                 board.arrived[id] += 1;
-                board.pending[id].push_back(hash);
-                board.max_buffered = board.max_buffered.max(board.pending[id].len() as u64);
+                board.verdict.round(id, hash);
+                board.max_buffered = board.max_buffered.max(board.verdict.buffered(id) as u64);
                 shared.turn.notify_all();
+                continue;
+            }
+            Ok(Frame::Round { seq, .. }) => {
+                let expected = board.arrived[id];
+                board.verdict.die(
+                    id,
+                    LockstepEventKind::Death,
+                    format_args!("sent round {seq}, expected {expected}"),
+                );
             }
             Ok(Frame::Done {
                 rounds,
                 output_hash,
                 fingerprint,
-            }) => {
-                board.state[id] = ReplicaState::Finished {
-                    rounds,
-                    output_hash,
-                    fingerprint,
-                };
-                shared.turn.notify_all();
-                return;
-            }
-            Ok(Frame::Fault { exit_code, message }) => {
-                let round = board.arrived[id];
-                mark_dead(
-                    &mut board,
-                    id,
-                    LockstepEventKind::Fault,
-                    format!("replica {id} faulted (exit {exit_code}): {message}"),
-                );
-                board.events.last_mut().expect("event just pushed").round = round;
-                shared.turn.notify_all();
-                return;
-            }
-            Ok(other) => {
-                mark_dead(
-                    &mut board,
-                    id,
-                    LockstepEventKind::Death,
-                    format!("replica {id} sent unexpected {other:?}"),
-                );
-                shared.turn.notify_all();
-                return;
-            }
-            Err(WireError::Timeout) => {
-                mark_dead(
-                    &mut board,
-                    id,
-                    LockstepEventKind::Timeout,
-                    format!("replica {id} silent past {timeout:?}"),
-                );
-                shared.turn.notify_all();
-                return;
-            }
-            Err(e) => {
-                mark_dead(
-                    &mut board,
-                    id,
-                    LockstepEventKind::Death,
-                    format!("replica {id} connection lost: {e}"),
-                );
-                shared.turn.notify_all();
-                return;
-            }
+            }) => board.verdict.done(id, rounds, output_hash, fingerprint),
+            Ok(Frame::Fault { exit_code, message }) => board.verdict.fault(id, exit_code, &message),
+            Ok(other) => board.verdict.die(
+                id,
+                LockstepEventKind::Death,
+                format_args!("sent unexpected {other:?}"),
+            ),
+            Err(WireError::Timeout) => board.verdict.die(
+                id,
+                LockstepEventKind::Timeout,
+                format_args!("silent past {timeout:?}"),
+            ),
+            Err(e) => board.verdict.die(
+                id,
+                LockstepEventKind::Death,
+                format_args!("connection lost: {e}"),
+            ),
         }
+        shared.turn.notify_all();
+        return;
     }
 }
 
-fn mark_dead(board: &mut Board, id: usize, kind: LockstepEventKind, detail: String) {
-    board.state[id] = ReplicaState::Dead;
-    board.pending[id].clear();
-    board.events.push(LockstepEvent {
-        round: board.settled,
-        replica: Some(id as u64),
-        kind,
-        expected: 0,
-        actual: 0,
-        detail,
-    });
-}
-
-/// The settle loop: advances the frontier one round at a time, voting
-/// every live replica's hash against the recorded reference chain.
-/// Returns `(outcome, survivors, agreed (output_hash, fingerprint))`.
-fn settle(
-    shared: &Shared,
-    reference: &[u64],
-    manifest: &RunManifest,
-    quorum: usize,
-    streams: &[TcpStream],
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    let n = streams.len();
-    let mut board = shared.board.lock().unwrap();
-    loop {
-        let active: Vec<usize> = (0..n)
-            .filter(|&i| {
-                matches!(
-                    board.state[i],
-                    ReplicaState::Running | ReplicaState::Finished { .. }
-                )
-            })
-            .collect();
-        if active.len() < quorum {
-            let settled = board.settled;
-            board.events.push(LockstepEvent {
-                round: settled,
-                replica: None,
-                kind: LockstepEventKind::Refusal,
-                expected: 0,
-                actual: 0,
-                detail: format!(
-                    "quorum lost: {} of {n} replicas live, need {quorum}",
-                    active.len()
-                ),
-            });
-            board.halted = true;
-            shared.turn.notify_all();
-            return (LockstepOutcome::NoQuorum, Vec::new(), None);
-        }
-
-        // A Running replica with an empty queue owes the frontier hash (or
-        // its Done/death): wait for it.
-        if active
-            .iter()
-            .any(|&i| board.state[i] == ReplicaState::Running && board.pending[i].is_empty())
-        {
-            board = shared.turn.wait(board).unwrap();
-            continue;
-        }
-
-        let r = board.settled;
-        let expected = reference.get(r as usize).copied();
-        // Each active replica's claim for round r: a hash, or `None` —
-        // "my chain ended before this round".
-        let votes: Vec<(usize, Option<u64>)> = active
-            .iter()
-            .map(|&i| (i, board.pending[i].front().copied()))
-            .collect();
-
-        match expected {
-            None => {
-                // Reference chain exhausted: anyone still producing rounds
-                // contradicts the recording.
-                let extra: Vec<(usize, u64)> = votes
-                    .iter()
-                    .filter_map(|&(i, v)| v.map(|h| (i, h)))
-                    .collect();
-                if extra.is_empty() {
-                    // Everyone ended exactly at the reference length; the
-                    // final fingerprint vote decides below.
-                    return finalize(shared, board, manifest, quorum, n, streams);
-                }
-                if extra.len() * 2 >= active.len() {
-                    return refuse(
-                        shared,
-                        board,
-                        r,
-                        format!(
-                            "{} of {} live replicas ran past the recorded {}-round chain",
-                            extra.len(),
-                            active.len(),
-                            reference.len()
-                        ),
-                    );
-                }
-                for (i, hash) in extra {
-                    evict(&mut board, i, r, 0, hash, streams);
-                }
-                shared.turn.notify_all();
-            }
-            Some(expected) => {
-                let mismatch: Vec<(usize, Option<u64>)> = votes
-                    .iter()
-                    .copied()
-                    .filter(|&(_, v)| v != Some(expected))
-                    .collect();
-                if mismatch.is_empty() {
-                    for &i in &active {
-                        board.pending[i].pop_front();
-                    }
-                    board.settled += 1;
-                    shared.turn.notify_all();
-                    continue;
-                }
-                if mismatch.len() * 2 >= active.len() {
-                    return refuse(
-                        shared,
-                        board,
-                        r,
-                        format!(
-                            "{} of {} live replicas contradict the reference at round {r} — \
-                             refusing to vote a majority against the recording",
-                            mismatch.len(),
-                            active.len()
-                        ),
-                    );
-                }
-                for (i, v) in mismatch {
-                    evict(&mut board, i, r, expected, v.unwrap_or(0), streams);
-                }
-                shared.turn.notify_all();
-            }
-        }
-    }
-}
-
-/// Records the divergence + eviction pair for replica `i` at round `r`,
-/// removes it from the vote, and hangs up its socket.
-fn evict(board: &mut Board, i: usize, r: u64, expected: u64, actual: u64, streams: &[TcpStream]) {
-    board.events.push(LockstepEvent {
-        round: r,
-        replica: Some(i as u64),
-        kind: LockstepEventKind::Divergence,
-        expected,
-        actual,
-        detail: format!("replica {i} first diverged from the reference chain at round {r}"),
-    });
-    board.events.push(LockstepEvent {
-        round: r,
-        replica: Some(i as u64),
-        kind: LockstepEventKind::Eviction,
-        expected: 0,
-        actual: 0,
-        detail: format!("replica {i} evicted; continuing with the survivors"),
-    });
-    board.state[i] = ReplicaState::Evicted;
-    board.pending[i].clear();
-    if let Ok(mut s) = streams[i].try_clone() {
+/// Tells an evicted replica the round it diverged at, then hangs up.
+fn send_eviction(stream: &TcpStream, round: u64) {
+    if let Ok(mut s) = stream.try_clone() {
         let _ = wire::write_frame(
             &mut s,
             &Frame::Evict {
-                round: r,
+                round,
                 reason: "diverged from reference chain".into(),
             },
         );
     }
-    let _ = streams[i].shutdown(std::net::Shutdown::Both);
-}
-
-fn refuse(
-    shared: &Shared,
-    mut board: std::sync::MutexGuard<'_, Board>,
-    round: u64,
-    detail: String,
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    board.events.push(LockstepEvent {
-        round,
-        replica: None,
-        kind: LockstepEventKind::Refusal,
-        expected: 0,
-        actual: 0,
-        detail,
-    });
-    board.halted = true;
-    shared.turn.notify_all();
-    (LockstepOutcome::NoQuorum, Vec::new(), None)
-}
-
-/// Every live replica settled the whole reference chain; now their final
-/// `DONE` payloads must agree with the manifest's fingerprint. Replicas
-/// are waited to `Finished` first (they may still be between their last
-/// `ROUND` and their `DONE`).
-fn finalize(
-    shared: &Shared,
-    mut board: std::sync::MutexGuard<'_, Board>,
-    manifest: &RunManifest,
-    quorum: usize,
-    n: usize,
-    streams: &[TcpStream],
-) -> (LockstepOutcome, Vec<usize>, Option<(u64, u64)>) {
-    loop {
-        if (0..n).any(|i| board.state[i] == ReplicaState::Running) {
-            board = shared.turn.wait(board).unwrap();
-            continue;
-        }
-        let round = board.settled;
-        let mut survivors = Vec::new();
-        let mut agreed: Option<(u64, u64)> = None;
-        for i in 0..n {
-            if let ReplicaState::Finished {
-                rounds,
-                output_hash,
-                fingerprint,
-            } = board.state[i]
-            {
-                if rounds != round || fingerprint != manifest.final_fingerprint {
-                    evict(
-                        &mut board,
-                        i,
-                        round,
-                        manifest.final_fingerprint,
-                        fingerprint,
-                        streams,
-                    );
-                    continue;
-                }
-                match agreed {
-                    None => agreed = Some((output_hash, fingerprint)),
-                    Some((h, _)) if h != output_hash => {
-                        // Same fingerprint, different output hash cannot
-                        // happen through honest hashing; treat as
-                        // divergence.
-                        evict(&mut board, i, round, h, output_hash, streams);
-                        continue;
-                    }
-                    Some(_) => {}
-                }
-                survivors.push(i);
-            }
-        }
-        if survivors.len() < quorum {
-            return refuse(
-                shared,
-                board,
-                round,
-                format!(
-                    "only {} of {n} replicas reproduced the recorded fingerprint, need {quorum}",
-                    survivors.len()
-                ),
-            );
-        }
-        let diverged = board
-            .events
-            .iter()
-            .any(|e| e.kind == LockstepEventKind::Divergence);
-        let outcome = if diverged {
-            LockstepOutcome::Diverged
-        } else {
-            LockstepOutcome::Agreed
-        };
-        board.halted = true;
-        shared.turn.notify_all();
-        return (outcome, survivors, agreed);
-    }
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// Replica-side knobs (the `galois replicate` flag surface).
@@ -693,6 +362,13 @@ pub struct ReplicaOptions {
 /// the run faulted.
 pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    run_replica_on(stream, opts)
+}
+
+/// [`run_replica`] over a stream already connected to the coordinator.
+/// The coordinator numbers replicas in connection order, so a caller that
+/// connects the streams itself decides which replica gets which id.
+pub fn run_replica_on(stream: TcpStream, opts: ReplicaOptions) -> Result<i32, String> {
     stream
         .set_read_timeout(Some(crate::http::READ_TIMEOUT))
         .map_err(|e| e.to_string())?;
@@ -754,19 +430,15 @@ pub fn run_replica(addr: &str, opts: ReplicaOptions) -> Result<i32, String> {
     };
     let mut rec = ManifestRecorder::new().on_round_hash(hook);
 
-    let final_frame = match run_cell(app, &exec, &input, Some(&mut rec)) {
-        Ok((Ok(out), _cached)) => Frame::Done {
+    let final_frame = match replica_run(app, &exec, &input, &mut rec) {
+        Ok(out) => Frame::Done {
             rounds: out.rounds,
             output_hash: out.output_hash,
             fingerprint: out.fingerprint,
         },
-        Ok((Err(fault), _cached)) => Frame::Fault {
-            exit_code: fault.exit_code() as u32,
-            message: fault.to_string(),
-        },
-        Err(validation) => Frame::Fault {
-            exit_code: 1,
-            message: format!("validation failed: {validation}"),
+        Err((exit_code, message)) => Frame::Fault {
+            exit_code: exit_code as u32,
+            message,
         },
     };
     let fault_exit = match &final_frame {

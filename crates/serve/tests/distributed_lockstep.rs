@@ -15,13 +15,20 @@
 //!   whose result still matches the serial oracle;
 //! - a doctored *majority* makes the coordinator refuse (exit 14) rather
 //!   than vote against the recording;
-//! - a slow replica cannot balloon coordinator memory past the window.
+//! - a slow replica cannot balloon coordinator memory past the window;
+//! - the TCP coordinator and the in-process `harness::run_lockstep` reach
+//!   the same verdict, event for event, on the same perturbed replicas.
 
 use galois_core::manifest::{LockstepEventKind, LockstepOutcome, LockstepReport};
 use galois_core::RunManifest;
 use galois_harness::subprocess::{galois_bin, spawn_replica, ReplicaSpec};
-use galois_harness::{record_run, run_app, unperturbed, App, InputConfig, Variant};
-use galois_serve::lockstep::{Coordinator, LockstepConfig, EXIT_DIVERGENCE, EXIT_NO_QUORUM};
+use galois_harness::{
+    record_run, run_app, run_lockstep, unperturbed, App, InputConfig, LockstepReplica, Variant,
+};
+use galois_serve::lockstep::{
+    run_replica_on, Coordinator, LockstepConfig, ReplicaOptions, EXIT_DIVERGENCE, EXIT_NO_QUORUM,
+};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::Duration;
@@ -337,4 +344,108 @@ fn slow_replica_is_window_bounded() {
     );
     // The window slowed settling but lost nothing.
     assert_eq!(result.report.rounds as usize, manifest.round_hashes.len());
+}
+
+/// Runs three replicas of `manifest` through both lockstep transports —
+/// an in-process [`Coordinator`] with [`run_replica_on`] threads, and
+/// `harness::run_lockstep` — planting the same locality-spread perturbation
+/// in the replicas listed in `perturbed`, and returns both reports.
+fn both_transports(manifest: &RunManifest, perturbed: &[usize]) -> [LockstepReport; 2] {
+    const THREADS: [usize; 3] = [1, 2, 3];
+    const SPREAD: usize = 16;
+
+    let coordinator = Coordinator::bind(
+        manifest.clone(),
+        LockstepConfig {
+            replicas: THREADS.len(),
+            ..LockstepConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = coordinator.addr();
+    let over_tcp = std::thread::scope(|s| {
+        let session = s.spawn(move || coordinator.run());
+        for (i, threads) in THREADS.into_iter().enumerate() {
+            // Replica ids follow connection order: connecting here, one
+            // after another, makes replica i join as id i.
+            let stream = TcpStream::connect(addr).expect("connect replica");
+            let opts = ReplicaOptions {
+                threads: Some(threads),
+                perturb_spread: perturbed.contains(&i).then_some(SPREAD),
+                throttle_ms: 0,
+            };
+            // A replica's own exit status is not under test here (a
+            // refused replica may see its connection reset); the
+            // coordinator's report is.
+            s.spawn(move || run_replica_on(stream, opts));
+        }
+        session.join().expect("coordinator thread")
+    })
+    .expect("coordinator run")
+    .report;
+
+    // The harness's mutation seam sees thread counts, not replica indices;
+    // the budgets are distinct, so they name the replicas. The perturbed
+    // executor is built exactly as `run_replica` builds it.
+    let perturbed_threads: Vec<usize> = perturbed.iter().map(|&i| THREADS[i]).collect();
+    let mutation =
+        |_: App, _: Variant, threads: usize, _: Option<u64>, exec: galois_core::Executor| {
+            if perturbed_threads.contains(&threads) {
+                let mut cfg = manifest.exec.clone();
+                cfg.locality_spread = SPREAD;
+                cfg.to_executor(threads).record_rounds(true)
+            } else {
+                exec
+            }
+        };
+    let replicas: Vec<LockstepReplica> = THREADS
+        .iter()
+        .map(|&threads| LockstepReplica {
+            threads,
+            chaos_seed: None,
+        })
+        .collect();
+    let in_process = run_lockstep(manifest, &replicas, &mutation).expect("run_lockstep");
+    [over_tcp, in_process]
+}
+
+/// Both transports are shells over one verdict machine, so they must agree
+/// on everything but the transport buffer (`window`, `max_buffered`).
+fn assert_same_verdict(over_tcp: &LockstepReport, in_process: &LockstepReport) {
+    assert_eq!(over_tcp.outcome, in_process.outcome);
+    assert_eq!(over_tcp.rounds, in_process.rounds);
+    assert_eq!(over_tcp.survivors, in_process.survivors);
+    assert_eq!(over_tcp.output_hash, in_process.output_hash);
+    assert_eq!(over_tcp.final_fingerprint, in_process.final_fingerprint);
+    assert_eq!(over_tcp.events, in_process.events);
+    assert_eq!((in_process.window, in_process.max_buffered), (0, 0));
+}
+
+/// One perturbed replica of three is evicted by both transports at the
+/// same round, with the same events; two of three are refused by both.
+#[test]
+fn tcp_and_in_process_transports_reach_the_same_verdict() {
+    let manifest = record_bfs();
+
+    let [over_tcp, in_process] = both_transports(&manifest, &[2]);
+    persist_report("cross-transport-diverged", &over_tcp);
+    assert_eq!(
+        over_tcp.outcome,
+        LockstepOutcome::Diverged,
+        "{:?}",
+        over_tcp.events
+    );
+    assert_eq!(over_tcp.survivors, vec![0, 1]);
+    assert_same_verdict(&over_tcp, &in_process);
+
+    let [over_tcp, in_process] = both_transports(&manifest, &[1, 2]);
+    persist_report("cross-transport-refused", &over_tcp);
+    assert_eq!(
+        over_tcp.outcome,
+        LockstepOutcome::NoQuorum,
+        "{:?}",
+        over_tcp.events
+    );
+    assert_same_verdict(&over_tcp, &in_process);
 }

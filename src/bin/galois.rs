@@ -48,9 +48,10 @@
 //! differ from the recording — and verifies every round hash; the first
 //! divergent round is reported with exit code 13. `--lockstep T1,T2[,..]`
 //! instead runs N in-process replicas at the given thread counts
-//! (optionally with per-replica `--lockstep-chaos` seeds), cross-checking
-//! round hashes at every barrier and reporting the first round where any
-//! two replicas — or a replica and the recording — disagree.
+//! (optionally with per-replica `--lockstep-chaos` seeds) and judges their
+//! round chains against the recording by the same rules, events and exit
+//! codes as `galois lockstep`: 0 agreed, 13 a divergent minority evicted,
+//! 14 refused.
 //!
 //! `galois serve` starts the resident compute service (`galois-serve`): a
 //! blocking HTTP/1.1+JSON server that keeps inputs warm across requests,
@@ -61,8 +62,10 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::apps::{bfs, dmr, dt, mis, mm, pfp};
+use deterministic_galois::core::manifest::EXIT_DIVERGENCE;
 use deterministic_galois::core::{
-    DetOptions, ExecError, Executor, RoundLog, RunReport, Schedule, WorklistPolicy,
+    DetOptions, ExecError, Executor, LockstepOutcome, LockstepReport, RoundLog, RunReport,
+    Schedule, WorklistPolicy,
 };
 use deterministic_galois::geometry::point::random_points;
 use deterministic_galois::graph::cache::{load_or_build_flow, load_or_build_graph, CacheOutcome};
@@ -115,13 +118,34 @@ fn thread_count(v: &str) -> usize {
     }
 }
 
-/// Exit code for a verified replay that hashed differently from its
-/// manifest (or a lockstep replica pair that disagreed).
-const EXIT_DIVERGENCE: i32 = 13;
-
-/// Exit code for a distributed lockstep run the coordinator refused:
-/// quorum lost, or a majority contradicted the recorded reference chain.
-const EXIT_NO_QUORUM: i32 = 14;
+/// Prints a lockstep session's event log and verdict; returns its exit
+/// code. Shared by `galois replay --lockstep` and `galois lockstep`.
+fn print_lockstep(report: &LockstepReport) -> i32 {
+    for event in &report.events {
+        eprintln!(
+            "  [{}] round {} replica {}: {}",
+            event.kind.name(),
+            event.round,
+            event
+                .replica
+                .map(|r| r.to_string())
+                .unwrap_or_else(|| "-".to_string()),
+            event.detail,
+        );
+    }
+    match report.outcome {
+        LockstepOutcome::Agreed => println!(
+            "lockstep ok: {} replicas agreed on all {} rounds, fingerprint {:016x}",
+            report.replicas, report.rounds, report.final_fingerprint,
+        ),
+        LockstepOutcome::Diverged => eprintln!(
+            "lockstep DIVERGED: survivors {:?} agreed, fingerprint {:016x}",
+            report.survivors, report.final_fingerprint,
+        ),
+        LockstepOutcome::NoQuorum => eprintln!("lockstep REFUSED: no quorum (see events above)"),
+    }
+    report.outcome.exit_code()
+}
 
 /// `galois record <app> --out FILE ...` — run deterministically, capture a
 /// replayable manifest.
@@ -236,41 +260,13 @@ fn cmd_replay(argv: &[String]) -> ! {
                 chaos_seed: lockstep_chaos.get(i).copied(),
             })
             .collect();
-        let report = match run_lockstep(&manifest, &replicas, &unperturbed) {
-            Ok(r) => r,
+        match run_lockstep(&manifest, &replicas, &unperturbed) {
+            Ok(report) => exit(print_lockstep(&report)),
             Err(e) => {
                 eprintln!("lockstep failed: {e}");
                 exit(1);
             }
-        };
-        for (i, (replica, verdict)) in replicas
-            .iter()
-            .zip(&report.manifest_divergences)
-            .enumerate()
-        {
-            match verdict {
-                None => println!(
-                    "  replica {i} (threads {}): reproduced the recording",
-                    replica.threads
-                ),
-                Some(d) => println!("  replica {i} (threads {}): {d}", replica.threads),
-            }
         }
-        if report.all_agree() {
-            println!(
-                "lockstep ok: {} replicas agreed on all {} rounds in {:?}",
-                report.replicas,
-                report.rounds,
-                t0.elapsed(),
-            );
-            exit(0);
-        }
-        if let Some(d) = report.divergence {
-            eprintln!("lockstep DIVERGED: {d}");
-        } else {
-            eprintln!("lockstep DIVERGED from the recording (replica verdicts above)");
-        }
-        exit(EXIT_DIVERGENCE);
     }
     match replay_run(&manifest, threads, cache_dir) {
         Ok(out) => {
@@ -439,9 +435,9 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             _ => usage(),
         }
     }
-    if config.replicas == 0 {
-        eprintln!("--replicas must be positive");
-        exit(2);
+    if config.replicas == 0 || config.window == 0 || config.timeout.is_zero() {
+        eprintln!("--replicas, --window and --timeout-ms must be positive");
+        usage();
     }
     let manifest_text = manifest.to_json();
     let coordinator = match Coordinator::bind(manifest, config.clone(), &addr) {
@@ -497,36 +493,14 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             exit(1);
         }
     };
-    for event in &result.report.events {
-        eprintln!(
-            "  [{}] round {} replica {}: {}",
-            event.kind.name(),
-            event.round,
-            event
-                .replica
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            event.detail,
-        );
-    }
     if let Some(out) = report_path {
         if let Err(e) = result.report.save(&out) {
             eprintln!("cannot write report: {e}");
             exit(1);
         }
     }
-    match result.exit_code {
-        0 => println!(
-            "lockstep ok: {} replicas agreed on all {} rounds, fingerprint {:016x}",
-            result.report.replicas, result.report.rounds, result.report.final_fingerprint,
-        ),
-        EXIT_DIVERGENCE => eprintln!(
-            "lockstep DIVERGED: survivors {:?} agreed, fingerprint {:016x}",
-            result.report.survivors, result.report.final_fingerprint,
-        ),
-        _ => eprintln!("lockstep REFUSED: no quorum (see events above)"),
-    }
-    if result.exit_code != EXIT_NO_QUORUM {
+    let code = print_lockstep(&result.report);
+    if result.report.outcome != LockstepOutcome::NoQuorum {
         if let Some(out) = emit_manifest {
             if let Err(e) = std::fs::write(&out, &manifest_text) {
                 eprintln!("cannot emit manifest: {e}");
@@ -534,7 +508,7 @@ fn cmd_lockstep(argv: &[String]) -> ! {
             }
         }
     }
-    exit(result.exit_code);
+    exit(code);
 }
 
 fn parse_args() -> Args {

@@ -1,5 +1,7 @@
 //! `--threads 0` is a usage error (exit 2) at every subcommand that takes a
-//! thread count, never a panic deep inside the executor builder.
+//! thread count, never a panic deep inside the executor builder; so are a
+//! zero replica count, window or timeout for `galois lockstep`, rather than
+//! a silently raised window or a session that times out every replica.
 
 use std::process::Command;
 
@@ -33,4 +35,11 @@ fn zero_threads_exit_with_usage() {
         assert_usage_exit(args);
     }
     assert!(!std::path::Path::new(out).exists(), "record ran anyway");
+}
+
+#[test]
+fn zero_lockstep_sizes_exit_with_usage() {
+    for flag in ["--replicas", "--window", "--timeout-ms"] {
+        assert_usage_exit(&["lockstep", MANIFEST, flag, "0"]);
+    }
 }

@@ -11,12 +11,13 @@
 //! [`RunManifest`]: deterministic_galois::core::RunManifest
 
 use deterministic_galois::core::{
-    DetOptions, ManifestError, ManifestRecorder, RunManifest, Schedule,
+    DetOptions, Executor, LockstepEventKind, LockstepOutcome, ManifestError, ManifestRecorder,
+    RunManifest, Schedule,
 };
 use deterministic_galois::graph::gen;
 use deterministic_galois::harness::{
-    record_run, replay_run, run_lockstep, unperturbed, App, InputConfig, LockstepReplica,
-    ReplayError,
+    record_run, replay_run, replica_run, run_lockstep, unperturbed, App, InputConfig,
+    LockstepReplica, ReplayError, Variant,
 };
 use deterministic_galois::runtime::fingerprint::Fnv64;
 
@@ -78,7 +79,7 @@ fn replayed_reports_mark_themselves() {
 }
 
 /// Clean lockstep: replicas at different thread counts, one with a chaos
-/// seed, must agree with each other and with the recording at every round.
+/// seed, must all reproduce the recording at every round.
 #[test]
 fn lockstep_replicas_agree_on_clean_runs() {
     let manifest = record_default(App::Mis);
@@ -97,58 +98,114 @@ fn lockstep_replicas_agree_on_clean_runs() {
         },
     ];
     let report = run_lockstep(&manifest, &replicas, &unperturbed).unwrap();
-    assert!(report.all_agree(), "divergence: {:?}", report.divergence);
+    assert_eq!(
+        report.outcome,
+        LockstepOutcome::Agreed,
+        "{:?}",
+        report.events
+    );
+    assert!(report.events.is_empty(), "{:?}", report.events);
+    assert_eq!(report.survivors, vec![0, 1, 2]);
     assert_eq!(report.rounds as usize, manifest.round_hashes.len());
+    assert_eq!(report.final_fingerprint, manifest.final_fingerprint);
 }
 
-/// Planted perturbation: one replica runs with a different locality
-/// spread, which legally changes the deterministic schedule. Lockstep must
-/// report the exact first divergent round — the same round its
-/// per-replica manifest verdict pinpoints, stable across repetitions.
+/// Locality spread 7 deals the task sequence differently, which legally
+/// changes the deterministic schedule: applied to the 4-thread replica
+/// only, it makes that replica diverge from the recording at a
+/// deterministic round.
+fn perturb_four_threads(
+    _: App,
+    _: Variant,
+    threads: usize,
+    _: Option<u64>,
+    exec: Executor,
+) -> Executor {
+    if threads == 4 {
+        exec.schedule(Schedule::Deterministic(DetOptions {
+            locality_spread: 7,
+            ..Default::default()
+        }))
+    } else {
+        exec
+    }
+}
+
+fn replicas_at(threads: &[usize]) -> Vec<LockstepReplica> {
+    threads
+        .iter()
+        .map(|&threads| LockstepReplica {
+            threads,
+            chaos_seed: None,
+        })
+        .collect()
+}
+
+/// Planted perturbation: lockstep must evict the perturbed replica at the
+/// exact first round its own chain parts from the recording, blame no
+/// clean replica, and report the same verdict on every run. With only two
+/// replicas the same divergence is 1 of 2 — not a strict minority — so the
+/// session is refused at that same round.
 #[test]
 fn lockstep_pinpoints_first_divergent_round() {
     let manifest = record_default(App::Bfs);
-    let replicas = [
-        LockstepReplica {
-            threads: 2,
-            chaos_seed: None,
-        },
-        LockstepReplica {
-            threads: 4,
-            chaos_seed: None,
-        },
-    ];
-    // Perturb only the 4-thread replica: locality spread 7 deals the task
-    // sequence differently, so its schedule diverges from the recording at
-    // a deterministic round.
-    let perturb = |_: App,
-                   _: deterministic_galois::harness::Variant,
-                   threads: usize,
-                   _: Option<u64>,
-                   exec: deterministic_galois::core::Executor| {
-        if threads == 4 {
-            exec.schedule(Schedule::Deterministic(DetOptions {
-                locality_spread: 7,
-                ..Default::default()
-            }))
-        } else {
-            exec
-        }
-    };
-    let first = run_lockstep(&manifest, &replicas, &perturb).unwrap();
-    let div = first.divergence.expect("perturbed replica must diverge");
-    assert_eq!((div.replica_a, div.replica_b), (0, 1));
-    assert_ne!(div.hash_a, div.hash_b);
-    // The clean replica reproduces the recording; the perturbed one
-    // diverges from it at the same round the pairwise check found.
-    assert_eq!(first.manifest_divergences[0], None);
-    let against_manifest = first.manifest_divergences[1]
-        .as_ref()
-        .expect("perturbed replica must diverge from the recording");
-    assert_eq!(against_manifest.round, div.round);
-    // The pinpointed round is exact: a second run reports the same one.
-    let second = run_lockstep(&manifest, &replicas, &perturb).unwrap();
-    assert_eq!(second.divergence, Some(div));
+    // The perturbed replica's own chain, judged directly against the
+    // recording: the round lockstep must name.
+    let exec = perturb_four_threads(
+        App::Bfs,
+        Variant::Deterministic,
+        4,
+        None,
+        manifest.exec.to_executor(4).record_rounds(true),
+    );
+    let mut rec = ManifestRecorder::new();
+    replica_run(App::Bfs, &exec, &InputConfig::default(), &mut rec).unwrap();
+    let expected = manifest
+        .verify_chain(rec.round_hashes())
+        .expect_err("perturbed replica must diverge from the recording");
+
+    // Three replicas: the perturbed one (index 1) is a strict minority.
+    let replicas = replicas_at(&[2, 4, 3]);
+    let first = run_lockstep(&manifest, &replicas, &perturb_four_threads).unwrap();
+    assert_eq!(
+        first.outcome,
+        LockstepOutcome::Diverged,
+        "{:?}",
+        first.events
+    );
+    let divergences = first.events_of(LockstepEventKind::Divergence);
+    assert_eq!(divergences.len(), 1, "{:?}", first.events);
+    assert_eq!(divergences[0].replica, Some(1));
+    assert_eq!(divergences[0].round, expected.round);
+    assert_eq!(divergences[0].expected, expected.expected);
+    assert_eq!(divergences[0].actual, expected.actual);
+    // The clean replicas are not blamed: every event is about replica 1,
+    // and both clean replicas survive with the recorded result.
+    assert!(
+        first.events.iter().all(|e| e.replica == Some(1)),
+        "{:?}",
+        first.events
+    );
+    assert_eq!(first.survivors, vec![0, 2]);
+    assert_eq!(first.rounds as usize, manifest.round_hashes.len());
+    assert_eq!(first.final_fingerprint, manifest.final_fingerprint);
+    // The pinpointed round is exact: a second run reports the same verdict.
+    let second = run_lockstep(&manifest, &replicas, &perturb_four_threads).unwrap();
+    assert_eq!(second, first);
+
+    // Two replicas: one divergent replica is half, so the session refuses
+    // at the same round instead of evicting.
+    let pair = run_lockstep(&manifest, &replicas_at(&[2, 4]), &perturb_four_threads).unwrap();
+    assert_eq!(pair.outcome, LockstepOutcome::NoQuorum, "{:?}", pair.events);
+    let refusals = pair.events_of(LockstepEventKind::Refusal);
+    assert_eq!(refusals.len(), 1, "{:?}", pair.events);
+    assert_eq!(refusals[0].round, expected.round);
+    assert!(
+        refusals[0].detail.contains("1 of 2"),
+        "{}",
+        refusals[0].detail
+    );
+    assert!(pair.survivors.is_empty());
 }
 
 /// A flipped byte anywhere in the manifest body is caught by the embedded
