@@ -66,7 +66,7 @@ enum Stream {
 /// [`advance`](Self::advance) to settle as far as the input allows, carry
 /// out [`take_evictions`](Self::take_evictions), and read the
 /// [`report`](Self::report) once `advance` returns an outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Verdict {
     app: String,
     input_key: String,
